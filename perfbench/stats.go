@@ -1,0 +1,56 @@
+package main
+
+import (
+	"math"
+	"sort"
+	"sync"
+	"time"
+)
+
+// quantile returns the q-quantile of xs by linear interpolation between
+// order statistics; NaN for an empty sample.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	return s[lo] + (s[hi]-s[lo])*(pos-float64(lo))
+}
+
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+func geomean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += math.Log(x)
+	}
+	return math.Exp(sum / float64(len(xs)))
+}
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+
+// samples is a goroutine-safe sample list.
+type samples struct {
+	mu sync.Mutex
+	xs []float64
+}
+
+func (s *samples) add(x float64) {
+	s.mu.Lock()
+	s.xs = append(s.xs, x)
+	s.mu.Unlock()
+}
+
+func (s *samples) get() []float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]float64(nil), s.xs...)
+}
