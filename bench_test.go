@@ -87,6 +87,10 @@ func BenchmarkCodeSize(b *testing.B) { runFigure(b, bench.CodeSize) }
 // against the paper's literal per-statement guards.
 func BenchmarkAblationGuards(b *testing.B) { runFigure(b, bench.AblationGuards) }
 
+// BenchmarkAblationIntrinsics reports Figure 13 with the prelude helpers'
+// guarded intrinsics on and off (paper-faithful).
+func BenchmarkAblationIntrinsics(b *testing.B) { runFigure(b, bench.AblationIntrinsics) }
+
 // BenchmarkAblationSampleMs varies the approx estimator's sampling period.
 func BenchmarkAblationSampleMs(b *testing.B) { runFigure(b, bench.AblationSampleMs) }
 

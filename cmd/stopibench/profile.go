@@ -67,12 +67,12 @@ func foldProfile(folded map[string]uint64) ([]profileRow, uint64) {
 }
 
 // profileOne compiles and runs one benchmark source with the sampler armed
-// and returns its folded profile.
-func profileOne(src, backend string, every uint64) (map[string]uint64, error) {
+// and returns its folded profile and the realm's guarded-intrinsic counts.
+func profileOne(src, backend string, every uint64) (map[string]uint64, []interp.IntrinsicStat, error) {
 	js := langs.JavaScript()
 	c, err := core.Compile(src, js.Opts(core.Defaults()))
 	if err != nil {
-		return nil, fmt.Errorf("compile: %w", err)
+		return nil, nil, fmt.Errorf("compile: %w", err)
 	}
 	run, err := c.NewRun(core.RunConfig{
 		Clock:        eventloop.NewVirtualClock(),
@@ -80,12 +80,12 @@ func profileOne(src, backend string, every uint64) (map[string]uint64, error) {
 		ProfileEvery: every,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := run.RunToCompletion(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return run.TakeProfileFolded(), nil
+	return run.TakeProfileFolded(), run.In.IntrinsicStats(), nil
 }
 
 // runProfileMode is stopibench -profile: the full Octane-like + Kraken-like
@@ -105,7 +105,7 @@ func runProfileMode(every uint64, topN int) error {
 	for _, backend := range []string{core.BackendTree, core.BackendBytecode} {
 		fmt.Printf("== engine %s — sampling every %d statements ==\n", backend, every)
 		for _, b := range suite {
-			folded, err := profileOne(b.Source, backend, every)
+			folded, intr, err := profileOne(b.Source, backend, every)
 			if err != nil {
 				return fmt.Errorf("%s (%s): %w", b.Name, backend, err)
 			}
@@ -118,6 +118,14 @@ func runProfileMode(every uint64, topN int) error {
 				}
 				fmt.Printf("  %-28s %12d %5.1f%% %12d %5.1f%%\n",
 					r.name, r.self, pct(r.self, total), r.cum, pct(r.cum, total))
+			}
+			// A helper still visible above ran its JavaScript body: these
+			// counts say how often, and how often it ran natively instead.
+			if len(intr) > 0 {
+				fmt.Printf("  %-28s %12s %12s\n", "intrinsic", "hits", "fallbacks")
+				for _, st := range intr {
+					fmt.Printf("  %-28s %12d %12d\n", st.Name, st.Hits, st.Fallbacks)
+				}
 			}
 		}
 		fmt.Println()

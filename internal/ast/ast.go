@@ -144,6 +144,12 @@ type Func struct {
 	Body   []Stmt
 	Arrow  bool
 
+	// Intrinsic, when non-zero, names the runtime prelude helper this
+	// function is (interp.IntrinsicID): calls to it may take a native fast
+	// path when no user code can run. The compiler sets it on prelude
+	// declarations only, so it follows function identity, not the name.
+	Intrinsic uint8
+
 	// Scope is the frame layout computed by internal/resolve. Nil means the
 	// function was never resolved and runs on dynamic map frames.
 	Scope *ScopeInfo

@@ -42,6 +42,44 @@ func AblationGuards(cfg Config) (string, error) {
 	return t.String(), nil
 }
 
+// AblationIntrinsics reports Figure 13's slowdowns with the prelude
+// helpers' guarded intrinsics on (the default) and off (the paper's
+// configuration: every implicit conversion and property access runs as
+// instrumented JavaScript). The paper's Octane-vs-Kraken finding is
+// implicit-call frequency, so the paper-faithful row is the one to compare
+// with Figure 13's published medians.
+func AblationIntrinsics(cfg Config) (string, error) {
+	eng := engine.Chrome()
+	js := langs.JavaScript()
+	t := newTable("Ablation — guarded intrinsics on vs off (paper-faithful), Figure 13 programs")
+	t.row("%-22s %12s %12s %8s", "benchmark", "intrinsics", "paper (off)", "ratio")
+	suites := []struct {
+		name  string
+		progs []langs.Benchmark
+	}{{"octane-like", langs.OctaneLike()}, {"kraken-like", langs.KrakenLike()}}
+	for _, suite := range suites {
+		var on, off []float64
+		for _, b := range pick(cfg, suite.progs, 2) {
+			o := js.Opts(baseOpts())
+			mOn, err := slowdown(b.Name, b.Source, o, eng, cfg)
+			if err != nil {
+				return "", err
+			}
+			o.NoIntrinsics = true
+			mOff, err := slowdown(b.Name, b.Source, o, eng, cfg)
+			if err != nil {
+				return "", err
+			}
+			on = append(on, mOn.Slowdown)
+			off = append(off, mOff.Slowdown)
+			t.row("%-22s %11.1fx %11.1fx %7.2f", b.Name, mOn.Slowdown, mOff.Slowdown, mOff.Slowdown/mOn.Slowdown)
+		}
+		t.row("%s medians: %.1fx with intrinsics, %.1fx paper-faithful", suite.name, stats.Median(on), stats.Median(off))
+	}
+	t.row("paper: Octane median 1.3x vs Kraken median 41.0x (Fig 13, intrinsics off)")
+	return t.String(), nil
+}
+
 // AblationSampleMs varies the approx estimator's clock-sampling period t
 // (§5.1: t trades clock-read cost against estimate accuracy).
 func AblationSampleMs(cfg Config) (string, error) {

@@ -158,3 +158,42 @@ func TestPropertySemanticsThroughCaches(t *testing.T) {
 		})
 	}
 }
+
+// TestAccessorNumericKeyUnderGetters pins the getter sub-language to raw
+// semantics for non-string keys. $lookupGetter/$lookupSetter used to answer
+// undefined for any key that was not already a string, while $rawGet and
+// $rawSet converted it, so [0][1] skipped a getter on Array.prototype["1"]
+// that the raw engine ran (and o[2] = v skipped a setter). Array elements
+// follow the raw engine's element paths: an index store never reaches a
+// prototype setter.
+func TestAccessorNumericKeyUnderGetters(t *testing.T) {
+	src := `Object.defineProperty(Array.prototype, "1", {get: function () { return 9; }, configurable: true});
+console.log([0][1], [0, 5][1]);
+var o = {};
+Object.defineProperty(o, "2", {get: function () { return "g" + this.seen; }, set: function (v) { this.seen = v; }});
+o[2] = 7;
+console.log(o[2], o[1 + 1], o.seen);
+Object.defineProperty(Array.prototype, "3", {set: function (v) { console.log("setter ran", v); }, configurable: true});
+var a = [0];
+a[3] = 1;
+console.log(a.length, a[3]);`
+	want := runRawCase(t, src)
+	if want != "9 5\ng7 g7 7\n4 1\n" {
+		t.Fatalf("raw output changed: %q", want)
+	}
+	js, dart := Defaults(), Defaults()
+	js.Implicits, js.Args, js.Getters, js.Eval = "full", "full", true, true
+	dart.Getters, dart.Eval = true, true
+	for name, opts := range map[string]Opts{"javascript": js, "dart": dart} {
+		for _, ablated := range []bool{false, true} {
+			opts.NoIntrinsics = ablated
+			out, err := RunSource(src, opts, RunConfig{})
+			if err != nil {
+				t.Fatalf("%s ablated=%v: %v", name, ablated, err)
+			}
+			if out != want {
+				t.Errorf("%s ablated=%v: got %q want %q", name, ablated, out, want)
+			}
+		}
+	}
+}

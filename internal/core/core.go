@@ -70,6 +70,10 @@ type Opts struct {
 	// PerStatementGuards selects the paper's literal per-statement `if
 	// (normal)` wrapping instead of grouped guards (ablation knob).
 	PerStatementGuards bool
+	// NoIntrinsics runs every prelude helper as instrumented JavaScript,
+	// as the paper does, instead of taking the native fast path when no
+	// user code can run (ablation knob; the zero value keeps them on).
+	NoIntrinsics bool
 	// LegacyPrelude compiles the wire-v1 prelude text instead of the
 	// current one. Restore sets it automatically for version-1 snapshot
 	// blobs, and re-parks carry it forward in their headers: a blob's
@@ -258,6 +262,15 @@ func compileProgram(userProg *ast.Program, opts Opts, nm *desugar.Namer, mainNam
 			return nil, fmt.Errorf("stopify: internal prelude error: %w", err)
 		}
 		desugar.Apply(preludeProg, desugar.Options{}, nm)
+		if !opts.NoIntrinsics {
+			// Marked by declaration, not by name: a user function called
+			// $add is never an intrinsic.
+			for _, s := range preludeProg.Body {
+				if fd, ok := s.(*ast.FuncDecl); ok {
+					fd.Fn.Intrinsic = interp.IntrinsicID(fd.Fn.Name)
+				}
+			}
+		}
 		body = append(body, preludeProg.Body...)
 	}
 	body = append(body, wrapped.Body...)

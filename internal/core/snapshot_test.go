@@ -27,8 +27,12 @@ import (
 func parkQuantum(name string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	return 200 + h.Sum64()%20_000
+	return minParkQuantum + h.Sum64()%20_000
 }
+
+// minParkQuantum is the smallest injected-pause quantum the round-trip tests
+// use.
+const minParkQuantum = 200
 
 // runToPark starts the program and pumps until it parks at the injected
 // quantum pause or finishes. It returns the run and its output sink.
@@ -83,12 +87,19 @@ func roundTripProgram(t *testing.T, p diffProgram, backend string) {
 	}
 	quantum := parkQuantum(p.name)
 
-	// Leg A: pause at the quantum, resume in place.
+	// Leg A: pause at the quantum, resume in place. A program shorter than
+	// its quantum is retried at half the quantum, so it still parks at a
+	// point in its second half rather than escaping the round trip.
 	runA, bufA := runToPark(t, c, backend, quantum)
+	for !runA.Paused() && quantum/2 >= minParkQuantum {
+		quantum /= 2
+		runA, bufA = runToPark(t, c, backend, quantum)
+	}
 	parked := runA.Paused()
 	idleAtPark := parked && runA.Loop.Len() == 0
 	if !parked {
-		// The program finished before the quantum fired; nothing to park.
+		// The program finished before even the smallest quantum fired;
+		// nothing to park.
 		t.Skipf("finished before quantum %d", quantum)
 	}
 

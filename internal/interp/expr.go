@@ -674,6 +674,13 @@ func (in *Interp) Call(fn Value, this Value, args []Value, newTarget Value) (Val
 		return v, err
 	}
 	c := f.Fn
+	// Prelude helpers marked by the compiler try their native fast path
+	// first (intrinsics.go); a hit pushes no frame and runs no statement.
+	if id := c.Decl.Intrinsic; id != 0 {
+		if v, ok, err := in.tryIntrinsic(id, args); ok {
+			return v, err
+		}
+	}
 	in.depth++
 	if in.depth > in.maxDepth {
 		in.depth--

@@ -131,6 +131,12 @@ type Interp struct {
 	chunkFails int
 	chunkRuns  uint64
 
+	// Guarded intrinsics (intrinsics.go): per-helper hit and fallback
+	// counts, and whether the runtime is capturing or restoring (fast
+	// paths stand down then).
+	intrCounts   [numIntrinsics]intrinsicCount
+	controlPhase bool
+
 	objectProto   *Object
 	functionProto *Object
 	arrayProto    *Object

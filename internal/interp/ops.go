@@ -537,10 +537,25 @@ func (in *Interp) RawGet(base Value, key string) (Value, error) {
 // data property shadows (returns undefined); an accessor lacking the
 // requested side is skipped and the walk continues, matching the historical
 // behavior of the runtime's $lookupGetter/$lookupSetter natives.
+//
+// Array and arguments elements follow the raw read and write paths
+// (objGetSite, setMemberSite): an element index written through them never
+// reaches a setter, and a present element or native array length is read
+// before any getter on the chain, so none is reported for them.
 func (in *Interp) LookupAccessor(base Value, key string, setter bool) Value {
 	o := base.Obj()
 	if o == nil {
 		return Undefined
+	}
+	if o.Class == "Array" || o.Class == "Arguments" {
+		i, isIdx := arrayIndex(key)
+		if setter {
+			if isIdx || key == "length" && o.Class == "Array" {
+				return Undefined
+			}
+		} else if isIdx && i < len(o.Elems) || key == "length" && o.Own("length") == nil {
+			return Undefined
+		}
 	}
 	holder, idx := in.lookupPath(o, key)
 	for holder != nil {

@@ -66,16 +66,6 @@ func (in *Interp) TakeProfileFolded() map[string]uint64 {
 	return out
 }
 
-// SetProfilePhase annotates subsequent samples with a synthetic leaf frame —
-// the runtime sets "(capture)"/"(restore)" around continuation capture and
-// reconstruction so their statement cost shows up attributed, not smeared
-// over whatever user frame happened to be on top. Empty clears it.
-func (in *Interp) SetProfilePhase(phase string) {
-	if in.prof != nil {
-		in.prof.phase = phase
-	}
-}
-
 // profResetBaseline re-anchors the sample window after a discontinuous jump
 // in Steps (snapshot restore sets the cumulative counter in one write); the
 // jumped-over statements ran in another realm and must not be attributed

@@ -241,12 +241,14 @@ func (r *R) installNatives() {
 // invoking it. The walk itself lives in interp.LookupAccessor so it shares
 // the interpreter's shape-aware path cache — property layout is a private
 // concern of the interpreter now that objects are shape-and-slots backed.
+//
+// A primitive key converts the way $rawGet/$rawSet convert it, so a[1] finds
+// the accessor a["1"] names. An object key is left to $rawGet/$rawSet: its
+// conversion may run user code, which must run once, not twice.
 func lookupAccessor(in *interp.Interp, args []interp.Value, setter bool) (interp.Value, error) {
-	if len(args) < 2 {
+	if len(args) < 2 || args[1].IsObject() {
 		return interp.Undefined, nil
 	}
-	if !args[1].IsString() {
-		return interp.Undefined, nil
-	}
-	return in.LookupAccessor(args[0], args[1].Str(), setter), nil
+	key, _ := in.ToStringValue(args[1]) // a primitive converts without error
+	return in.LookupAccessor(args[0], key, setter), nil
 }

@@ -183,14 +183,14 @@ func New(in *interp.Interp, loop *eventloop.Loop, opts Options) *R {
 func (r *R) setMode(m string) {
 	r.mode = m
 	r.In.DefineGlobal(instrument.ModeVar, interp.StringValue(m))
-	// Tag profiler samples taken while the instrumentation unwinds or
-	// rebuilds stacks: those statements are continuation machinery, not the
-	// user frame that happens to be executing, and the profile should say so.
+	// Outside normal mode the instrumentation unwinds or rebuilds stacks:
+	// profiler samples are tagged with the phase, and guarded intrinsics
+	// stand down so restore can re-enter helper frames (interp.SetControlPhase).
 	switch m {
 	case instrument.ModeNormal:
-		r.In.SetProfilePhase("")
+		r.In.SetControlPhase("")
 	default:
-		r.In.SetProfilePhase("(" + m + ")")
+		r.In.SetControlPhase("(" + m + ")")
 	}
 }
 
